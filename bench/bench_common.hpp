@@ -28,7 +28,6 @@ struct BenchOptions {
   std::size_t parallel_shards = 0;
   bool sequential_delivery = false;
   bool sequential_commit = false;
-  bool peer_pool = false;
   std::size_t flash_crowd_joins = 0;
   double flash_crowd_start = 0.5;
   double flash_crowd_duration = 2.0;
@@ -57,7 +56,6 @@ struct BenchOptions {
     config.enable_parallel_shards(parallel_shards);
     config.engine.parallel_delivery = !sequential_delivery;
     config.enable_parallel_commit(!sequential_commit);
-    config.enable_peer_pool(peer_pool);
     if (flash_crowd_joins > 0) {
       config.enable_flash_crowd(flash_crowd_joins, flash_crowd_start, flash_crowd_duration);
     }
@@ -100,10 +98,6 @@ inline bool parse_bench_flags(int argc, char** argv, BenchOptions& options,
   flags.define_bool("sequential-commit", false,
                     "disable the parallel commit + book passes of the sharded "
                     "core (ablation; identical metrics, member-order commits)");
-  flags.define_bool("peer-pool", false,
-                    "million-peer memory plane: flat pending/buffer/arrival "
-                    "structures and the plan arena (identical metrics, "
-                    "smaller bytes/peer)");
   flags.define_int("flash-crowd-joins", 0,
                    "flash-crowd scenario: this many extra peers join shortly "
                    "after the first switch (0 = off)");
@@ -150,7 +144,6 @@ inline bool parse_bench_flags(int argc, char** argv, BenchOptions& options,
   options.parallel_shards = static_cast<std::size_t>(flags.get_int("parallel-shards"));
   options.sequential_delivery = flags.get_bool("sequential-delivery");
   options.sequential_commit = flags.get_bool("sequential-commit");
-  options.peer_pool = flags.get_bool("peer-pool");
   options.flash_crowd_joins = static_cast<std::size_t>(flags.get_int("flash-crowd-joins"));
   options.flash_crowd_start = flags.get_double("flash-crowd-start");
   options.flash_crowd_duration = flags.get_double("flash-crowd-duration");

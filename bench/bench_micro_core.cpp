@@ -417,7 +417,6 @@ void BM_PlanGate(benchmark::State& state) {
     config.enable_batch_dispatch(true);
     config.enable_incremental_availability(true);
     config.enable_windowed_availability(true);
-    config.enable_peer_pool(true);
     config.enable_plan_gate(gate);
     config.engine.tick_shard_size = 1024;  // wide sweeps; dispatch is not the point
     config.engine.horizon = 2.0;           // plan cost, not paper metrics
@@ -454,9 +453,9 @@ BENCHMARK(BM_PlanGate)
     ->Unit(benchmark::kMillisecond);
 
 // Whole-pipeline throughput: batched dispatch + incremental windowed
-// availability + the memory plane, sequential vs the sharded core, at
-// N=100000.  This is the "everything on" configuration the scale runs use;
-// the memory counters come from the engine's end-of-run telemetry.  Emit
+// availability, sequential vs the sharded core, at N=100000.  This is the
+// "everything on" configuration the scale runs use; the memory counters
+// come from the engine's end-of-run telemetry.  Emit
 // BENCH_*.json via
 //   bench_micro_core --benchmark_filter=BM_FullPipeline
 //     --benchmark_out=BENCH_full_pipeline.json --benchmark_out_format=json
@@ -489,7 +488,6 @@ void BM_FullPipeline(benchmark::State& state) {
     config.enable_windowed_availability(true);
     config.enable_parallel_shards(shards);
     config.enable_parallel_commit(commit);
-    config.enable_peer_pool(true);
     config.enable_timing_wheel(wheel);
     config.enable_plan_gate(gate);
     config.engine.tick_shard_size = 256;   // the scale grain (see README)
@@ -551,25 +549,20 @@ BENCHMARK(BM_FullPipeline)
     ->Unit(benchmark::kMillisecond);
 
 // Million-peer memory smoke: one trimmed-dynamics switch experiment at
-// N=10^6, legacy containers (pool=0) vs the memory plane (pool=1), plus a
-// gate=0 row isolating the plan work-set plane (quiescence gate +
-// neighbour-major candidate build) on the pooled configuration — at this
-// scale neighbour presence bitsets are cache-cold, so the pooled
-// gate-on/gate-off pair is the headline plan-phase speedup.  The
-// point of the pool axis is the footprint, not the wall clock:
-// bytes_per_peer comes from the
-// engine's container accounting and peak_rss_mb from the process high-water
-// mark (cumulative across rows by nature — run one filter per process for
-// clean RSS numbers).  Fixed-seed metrics are bit-identical across the two
-// rows (stream_determinism_test enforces the flag's purity).  Emit
-// BENCH_*.json via
+// N=10^6, plus a wheel=0 row (binary-heap event plane) and a gate=0 row
+// isolating the plan work-set plane (quiescence gate + neighbour-major
+// candidate build) — at this scale neighbour presence bitsets are
+// cache-cold, so the gate-on/gate-off pair is the headline plan-phase
+// speedup.  bytes_per_peer comes from the engine's container accounting and
+// peak_rss_mb from the process high-water mark (cumulative across rows by
+// nature — run one filter per process for clean RSS numbers).  Fixed-seed
+// metrics are bit-identical across the rows.  Emit BENCH_*.json via
 //   bench_micro_core --benchmark_filter=BM_MillionPeer
 //     --benchmark_out=BENCH_million_peer.json --benchmark_out_format=json
 void BM_MillionPeer(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
-  const bool pool = state.range(1) != 0;
-  const bool wheel = state.range(2) != 0;
-  const bool gate = state.range(3) != 0;
+  const bool wheel = state.range(1) != 0;
+  const bool gate = state.range(2) != 0;
   std::uint64_t delivered = 0;
   double bytes_per_peer = 0.0;
   double peak_rss = 0.0;
@@ -584,7 +577,6 @@ void BM_MillionPeer(benchmark::State& state) {
     config.enable_batch_dispatch(true);
     config.enable_incremental_availability(true);
     config.enable_windowed_availability(true);
-    config.enable_peer_pool(pool);
     config.enable_timing_wheel(wheel);
     config.enable_plan_gate(gate);
     config.engine.tick_shard_size = 1024;  // wide sweeps; dispatch is not the point
@@ -615,11 +607,10 @@ void BM_MillionPeer(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(built) / static_cast<double>(runs));
 }
 BENCHMARK(BM_MillionPeer)
-    ->ArgNames({"peers", "pool", "wheel", "gate"})
-    ->Args({1000000, 0, 1, 1})
-    ->Args({1000000, 1, 0, 1})
-    ->Args({1000000, 1, 1, 0})
-    ->Args({1000000, 1, 1, 1})
+    ->ArgNames({"peers", "wheel", "gate"})
+    ->Args({1000000, 0, 1})
+    ->Args({1000000, 1, 0})
+    ->Args({1000000, 1, 1})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 

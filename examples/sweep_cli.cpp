@@ -88,10 +88,6 @@ int main(int argc, char** argv) {
   flags.define_bool("sequential-commit", false,
                     "disable the parallel commit + book passes of the sharded "
                     "core (ablation; identical metrics, member-order commits)");
-  flags.define_bool("peer-pool", false,
-                    "million-peer memory plane: flat pending/buffer/arrival "
-                    "structures and the plan arena (identical metrics, "
-                    "smaller bytes/peer)");
   flags.define_int("flash-crowd-joins", 0,
                    "flash-crowd scenario: this many extra peers join shortly "
                    "after the first switch (0 = off)");
@@ -147,7 +143,6 @@ int main(int argc, char** argv) {
   base.enable_parallel_shards(static_cast<std::size_t>(flags.get_int("parallel-shards")));
   base.engine.parallel_delivery = !flags.get_bool("sequential-delivery");
   base.enable_parallel_commit(!flags.get_bool("sequential-commit"));
-  base.enable_peer_pool(flags.get_bool("peer-pool"));
   if (flags.get_int("flash-crowd-joins") > 0) {
     base.enable_flash_crowd(static_cast<std::size_t>(flags.get_int("flash-crowd-joins")),
                             flags.get_double("flash-crowd-start"),

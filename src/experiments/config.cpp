@@ -73,6 +73,17 @@ void Config::validate() const {
     throw std::invalid_argument("trace_path required for kTraceFile");
   }
   if (engine.warmup <= 0.0) throw std::invalid_argument("warmup must be positive");
+  // The engine GS_CHECKs these deep inside construction; reject them here
+  // with the field's name instead.  `!(x > 0)` also rejects NaN.
+  if (!(engine.tau > 0.0)) throw std::invalid_argument("tau must be positive");
+  if (!(engine.playback_rate > 0.0)) {
+    throw std::invalid_argument("playback_rate must be positive");
+  }
+  if (engine.buffer_capacity == 0) throw std::invalid_argument("buffer_capacity must be >= 1");
+  if (engine.q_consecutive == 0) throw std::invalid_argument("q_consecutive must be >= 1");
+  if (engine.q_startup == 0 || engine.q_startup > engine.buffer_capacity) {
+    throw std::invalid_argument("q_startup must be in [1, buffer_capacity]");
+  }
   if (engine.tick_shard_size == 0) {
     throw std::invalid_argument("tick_shard_size must be >= 1");
   }

@@ -120,13 +120,6 @@ struct Config {
   /// diagnostics change.
   void enable_parallel_commit(bool on = true) { engine.parallel_commit = on; }
 
-  /// Turns on the million-peer memory plane (`--peer-pool`): flat
-  /// open-addressed pending maps, ring-backed stream buffers, the bounded
-  /// arrival ring and the per-tick plan arena.  Pure mechanism: fixed-seed
-  /// metrics are bit-identical either way; only bytes/peer and allocation
-  /// traffic change (see EngineStats::bytes_per_peer).
-  void enable_peer_pool(bool on = true) { engine.peer_pool = on; }
-
   /// Turns on the CDN-assisted fast switch (`--cdn-assist`): a capacity-
   /// limited patch source bursts the head of the new session to switching
   /// peers and hands off once their gossip suppliers cover the window.

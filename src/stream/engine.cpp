@@ -34,9 +34,6 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
   // buckets.  Must precede any scheduling; pop order (and every metric) is
   // bit-identical to the heap backend.
   if (config_.timing_wheel) sim_.enable_timing_wheel(config_.tau);
-  // The per-tick arena is single-threaded; parallel plan lanes keep heap
-  // allocation (their supplier lists get the null-arena fallback).
-  use_plan_arena_ = config_.peer_pool && config_.parallel_shards == 0;
   GS_CHECK_EQ(latency_.node_count(), graph_.node_count());
   GS_CHECK(!config_.delta_maps || config_.incremental_availability)
       << "delta_maps requires incremental_availability";
@@ -198,7 +195,7 @@ void Engine::tick(PeerNode& p, double now) {
   // lists are dead and the arena can rewind before this tick's candidate
   // build fills it.  (Parallel waves reset their lane arenas at wave start
   // instead — a lane's earlier plans must survive to their commit.)
-  if (use_plan_arena_) {
+  if (config_.parallel_shards == 0) {
     plan_arena_.reset();
     plan_seq_.arena = &plan_arena_;
   }
@@ -590,7 +587,7 @@ void Engine::snapshot_and_learn(PeerNode& p, NeighborScan& scan) {
     }
     return;
   }
-  // Legacy: one shared pass over the neighbours serves the exchange
+  // Rescan: one shared pass over the neighbours serves the exchange
   // accounting, boundary discovery AND build_candidates (alive list + head
   // stashed in `scan` — nothing between here and the candidate build can
   // change neighbour state within the tick).
@@ -663,7 +660,7 @@ void Engine::build_candidates(PeerNode& p, double now, const NeighborScan& scan,
                    : kNoSegment;
   const util::ArenaAllocator<SupplierView> salloc(plan.arena);
 
-  // Legacy iterates every missing id and discovers per id that nobody
+  // The rescan iterates every missing id and discovers per id that nobody
   // supplies it; the index jumps straight to missing-and-supplied ids
   // (word-level intersection), which yields the identical candidate list —
   // unsupplied ids produce no CandidateSegment either way.

@@ -205,18 +205,6 @@ struct EngineConfig {
   /// kTokenBucket burst depth in segments (>= 1; 1 degenerates to
   /// kSharedFifo's serialised spacing).
   double token_bucket_burst = 4.0;
-  /// Million-peer memory plane.  Per-tick-hot peer scalars always live in
-  /// the engine's struct-of-arrays PeerPool; this flag additionally swaps
-  /// the per-peer node-based containers for flat ones — the stream buffer's
-  /// deque + unordered_map become a fixed ring + open-addressed map, the
-  /// pending-request book and the playback arrival record lose their heap
-  /// nodes — and backs the sequential tick plan's supplier lists with a
-  /// per-tick bump arena.  Pure mechanism like batch_dispatch: fixed-seed
-  /// metrics are bit-identical with the flag on or off at every shard count
-  /// (enforced by stream_determinism_test); only memory layout and
-  /// allocation traffic change (see EngineStats::bytes_per_peer and bench
-  /// BM_MillionPeer).
-  bool peer_pool = false;
   /// Flash-crowd scenario: this many extra peers join at a uniform pace
   /// over [flash_crowd_start, flash_crowd_start + flash_crowd_duration)
   /// (seconds, experiment time — the first switch is at 0, so the defaults
@@ -502,7 +490,7 @@ class Engine {
   void generate_segment(SessionIndex k, double now);
 
   // --- per-tick pipeline ---
-  /// Legacy-mode neighbour scan scratch: the one shared pass of
+  /// Rescan-mode neighbour scan scratch: the one shared pass of
   /// snapshot_and_learn leaves the alive neighbours (graph order) and their
   /// max held id for build_candidates.  Sequential ticks reuse scan_seq_;
   /// parallel sweeps keep one slot per member so plans can run
@@ -590,7 +578,7 @@ class Engine {
   /// The sharded sweep driver: pre in member order, plan on the pool,
   /// commit in member order (see EngineConfig::parallel_shards).
   void run_parallel_sweep(const std::vector<std::uint32_t>& members, double now);
-  /// Availability exchange bookkeeping + boundary discovery.  Legacy mode
+  /// Availability exchange bookkeeping + boundary discovery.  Rescan mode
   /// walks the neighbours once into `scan` (one shared pass serving the
   /// exchange accounting, boundary discovery and build_candidates);
   /// incremental mode reads the maintained view instead.
@@ -750,18 +738,16 @@ class Engine {
 
   std::vector<PeerNode> peers_;
   /// Struct-of-arrays hot peer state; every element of peers_ is bound to
-  /// its slot here (see peer_pool.hpp).
+  /// its slot here (see peer_scalars.hpp).
   PeerPool pool_;
 
   /// Sequential tick scratch (single-threaded dispatch paths).
   NeighborScan scan_seq_;
   TickPlan plan_seq_;
   /// Per-tick bump arena behind the sequential plan's supplier lists
-  /// (config_.peer_pool with parallel_shards == 0; the arena is
-  /// single-threaded, so parallel plan lanes keep heap allocation).  Reset
+  /// (parallel_shards == 0; parallel plan lanes use lane_arenas_).  Reset
   /// at the top of every sequential plan — prior plans are dead by then.
   util::Arena plan_arena_;
-  bool use_plan_arena_ = false;
   /// Advert scratch: build_map_into target reused across all peers' adverts
   /// (swapped with p.advertised_map under delta accounting).
   gossip::BufferMap advert_scratch_;

@@ -22,9 +22,8 @@ void Engine::init_peer_state(PeerNode& p, net::NodeId v) {
     p.outbound_rate() = config_.outbound.sample(node_setup);
   }
   p.in_budget() = RateBudget(p.inbound_rate(), config_.budget_carry);
-  p.buffer = StreamBuffer(config_.buffer_capacity, config_.peer_pool);
-  p.playback = Playback(config_.playback_rate, config_.peer_pool);
-  p.pending.use_flat(config_.peer_pool);
+  p.buffer = StreamBuffer(config_.buffer_capacity);
+  p.playback = Playback(config_.playback_rate);
   p.rng = util::Rng(config_.seed).fork(util::hash_name("peer")).fork(v);
 }
 
@@ -312,7 +311,7 @@ std::vector<SwitchMetrics> Engine::run() {
     if (config_.plan_gate) availability_.enable_work_tracking(&pool_);
     availability_.build(graph_, peers_);
   } else if (config_.plan_gate && config_.plan_gate_legacy) {
-    // Legacy rescan scheduler with the gate: maintain the index purely as
+    // Rescan scheduler with the gate: maintain the index purely as
     // the gate's work tracker (enabled() stays false, so candidate builds
     // and adverts still run the legacy rescan they are benchmarked as).
     availability_.set_gate_only();

@@ -1,4 +1,4 @@
-#include "stream/peer_pool.hpp"
+#include "stream/peer_scalars.hpp"
 
 #include <type_traits>
 

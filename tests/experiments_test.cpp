@@ -3,6 +3,7 @@
 
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "experiments/config.hpp"
 #include "experiments/report.hpp"
@@ -48,6 +49,51 @@ TEST(Config, ValidationErrors) {
   config = Config::paper_static(100, AlgorithmKind::kFast);
   config.topology = TopologyKind::kTraceFile;
   EXPECT_THROW(config.validate(), std::invalid_argument) << "missing trace path";
+}
+
+// Each bad engine value must fail validate() with an error naming its
+// field, not pass and abort later inside the engine.
+void expect_rejected(const Config& config, const std::string& field) {
+  try {
+    config.validate();
+    ADD_FAILURE() << field << ": validate() accepted the config";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+TEST(Config, RejectsNonPositiveTau) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.engine.tau = 0.0;
+  expect_rejected(config, "tau");
+}
+
+TEST(Config, RejectsNonPositivePlaybackRate) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.engine.playback_rate = 0.0;
+  expect_rejected(config, "playback_rate");
+}
+
+TEST(Config, RejectsZeroBufferCapacity) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.engine.buffer_capacity = 0;
+  expect_rejected(config, "buffer_capacity");
+}
+
+TEST(Config, RejectsZeroQConsecutive) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.engine.q_consecutive = 0;
+  expect_rejected(config, "q_consecutive");
+}
+
+TEST(Config, RejectsQStartupOutsideBuffer) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.engine.q_startup = 0;
+  expect_rejected(config, "q_startup");
+  config.engine.q_startup = config.engine.buffer_capacity + 1;
+  expect_rejected(config, "q_startup");
+  config.engine.q_startup = config.engine.buffer_capacity;
+  EXPECT_NO_THROW(config.validate()) << "Qs = B is the largest legal prefix";
 }
 
 TEST(Config, EnumStringRoundTrip) {

@@ -2,6 +2,10 @@
 // Playback engine timing, stalls and gates; RateBudget; BandwidthSampler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <unordered_map>
 #include <vector>
 
 #include "stream/bandwidth.hpp"
@@ -119,34 +123,65 @@ TEST(StreamBuffer, BuildMapEmptyBuffer) {
   EXPECT_EQ(map.available_count(), 0u);
 }
 
-TEST(StreamBuffer, FlatModeMatchesLegacyOnRandomWorkload) {
-  // The flat ring must be observationally identical to the deque+map
-  // implementation: same victims, same max, same positions, same map.
+// Textbook FIFO buffer: ids in insertion order plus id -> insertion
+// sequence number.  The reference the ring + flat-map buffer must match.
+struct ReferenceBuffer {
+  explicit ReferenceBuffer(std::size_t cap) : capacity(cap) {}
+
+  std::size_t capacity;
+  std::deque<SegmentId> order;
+  std::unordered_map<SegmentId, std::uint64_t> sequence;
+  std::uint64_t next_sequence = 1;
+
+  SegmentId insert(SegmentId id) {
+    if (sequence.count(id) != 0) return kNoSegment;
+    order.push_back(id);
+    sequence[id] = next_sequence++;
+    if (order.size() <= capacity) return kNoSegment;
+    const SegmentId victim = order.front();
+    order.pop_front();
+    sequence.erase(victim);
+    return victim;
+  }
+  [[nodiscard]] std::size_t position_from_tail(SegmentId id) const {
+    const auto it = sequence.find(id);
+    return it == sequence.end() ? 0 : static_cast<std::size_t>(next_sequence - it->second);
+  }
+  [[nodiscard]] SegmentId max_id() const {
+    return order.empty() ? kNoSegment : *std::max_element(order.begin(), order.end());
+  }
+  [[nodiscard]] std::size_t held_in(SegmentId lo, SegmentId hi) const {
+    return static_cast<std::size_t>(std::count_if(
+        order.begin(), order.end(), [&](SegmentId id) { return id >= lo && id <= hi; }));
+  }
+};
+
+TEST(StreamBuffer, MatchesReferenceFifoOnRandomWorkload) {
+  // Same victims, max, ends, positions and map as the reference, under
+  // mostly fresh ids with duplicates and out-of-order re-inserts.
   util::Rng rng(321);
-  StreamBuffer legacy(32, false);
-  StreamBuffer flat(32, true);
+  StreamBuffer buffer(32);
+  ReferenceBuffer model(32);
   SegmentId next = 0;
   for (int step = 0; step < 5000; ++step) {
-    // Mostly fresh ids with occasional duplicates and out-of-order inserts.
     SegmentId id;
-    const auto roll = rng.uniform_int(0, 9);
-    if (roll < 7) {
+    if (rng.uniform_int(0, 9) < 7) {
       id = next++;
     } else {
       id = rng.uniform_int(0, next > 0 ? next - 1 : 0);
     }
-    EXPECT_EQ(legacy.insert(id), flat.insert(id)) << "step " << step;
-    ASSERT_EQ(legacy.size(), flat.size());
-    EXPECT_EQ(legacy.max_id(), flat.max_id());
-    EXPECT_EQ(legacy.oldest(), flat.oldest());
+    EXPECT_EQ(buffer.insert(id), model.insert(id)) << "step " << step;
+    ASSERT_EQ(buffer.size(), model.order.size());
+    EXPECT_EQ(buffer.max_id(), model.max_id());
+    EXPECT_EQ(buffer.oldest(), model.order.front());
+    EXPECT_EQ(buffer.newest(), model.order.back());
     const SegmentId probe = rng.uniform_int(0, next > 0 ? next - 1 : 0);
-    EXPECT_EQ(legacy.contains(probe), flat.contains(probe)) << "step " << step;
-    EXPECT_EQ(legacy.position_from_tail(probe), flat.position_from_tail(probe));
+    EXPECT_EQ(buffer.contains(probe), model.sequence.count(probe) != 0) << "step " << step;
+    EXPECT_EQ(buffer.position_from_tail(probe), model.position_from_tail(probe));
   }
-  const auto legacy_map = legacy.build_map(64);
-  const auto flat_map = flat.build_map(64);
-  EXPECT_EQ(legacy_map.base(), flat_map.base());
-  EXPECT_EQ(legacy_map.available_count(), flat_map.available_count());
+  const auto map = buffer.build_map(64);
+  EXPECT_EQ(map.base(), std::max<SegmentId>(0, model.max_id() - 63));
+  EXPECT_EQ(map.available_count(), model.held_in(map.base(), model.max_id()));
 }
 
 // ---------------------------------------------------------------- playback
@@ -254,41 +289,48 @@ TEST(Playback, PlayedCountAccumulates) {
   EXPECT_EQ(pb.played_count(), 10u);
 }
 
-TEST(Playback, FlatArrivalRingMatchesMapMode) {
-  // Arrival-driven stall accounting must not depend on the bookkeeping
-  // structure: drive both modes through identical late-arrival schedules.
+TEST(Playback, RandomArrivalsPlayAtMaxOfDueAndArrival) {
+  // The arrival-clamp rule, checked against its closed form: segment k
+  // plays at max(t[k-1] + 1/rate, arrival[k]) (t[-1] + 1/rate = the start
+  // time), never before it arrived, and every clamp adds exactly its wait
+  // to the stall time.  Arrivals come in random bursts so playback keeps
+  // catching up with gaps.
   util::Rng rng(654);
-  Playback map_mode(10.0, false);
-  Playback flat_mode(10.0, true);
-  map_mode.start(0, 0.0);
-  flat_mode.start(0, 0.0);
-  std::vector<bool> have(400, false);
+  constexpr double kRate = 10.0;
+  Playback pb(kRate);
+  pb.start(0, 0.0);
+  std::vector<double> arrival;
   const auto has = [&](SegmentId id) {
-    return id >= 0 && static_cast<std::size_t>(id) < have.size() &&
-           have[static_cast<std::size_t>(id)];
+    return id >= 0 && static_cast<std::size_t>(id) < arrival.size();
   };
+  double due = 0.0;  // the model's earliest play time of the next segment
+  double stall = 0.0;
+  SegmentId expected = 0;
   double now = 0.0;
-  SegmentId next_arrival = 0;
   for (int step = 0; step < 300; ++step) {
     now += 0.01 * static_cast<double>(rng.uniform_int(1, 20));
-    // Deliver a random burst, sometimes leaving gaps that stall playback.
-    const auto burst = rng.uniform_int(0, 2);
-    for (SegmentId k = 0; k < burst && next_arrival < 400; ++k) {
-      have[static_cast<std::size_t>(next_arrival)] = true;
-      map_mode.notify_arrival(next_arrival, now);
-      flat_mode.notify_arrival(next_arrival, now);
-      ++next_arrival;
+    for (auto k = rng.uniform_int(0, 2); k > 0; --k) {
+      pb.notify_arrival(static_cast<SegmentId>(arrival.size()), now);
+      arrival.push_back(now);
     }
-    std::vector<std::pair<SegmentId, double>> map_plays;
-    std::vector<std::pair<SegmentId, double>> flat_plays;
-    map_mode.advance(now, has, [&](SegmentId id, double t) { map_plays.emplace_back(id, t); });
-    flat_mode.advance(now, has, [&](SegmentId id, double t) { flat_plays.emplace_back(id, t); });
-    ASSERT_EQ(map_plays, flat_plays) << "step " << step;
-    EXPECT_EQ(map_mode.cursor(), flat_mode.cursor());
-    EXPECT_DOUBLE_EQ(map_mode.stall_time(), flat_mode.stall_time());
+    pb.advance(now, has, [&](SegmentId id, double t) {
+      ASSERT_EQ(id, expected);
+      const double a = arrival[static_cast<std::size_t>(id)];
+      if (a > due) {
+        stall += a - due;
+        due = a;
+      }
+      EXPECT_EQ(t, due) << "segment " << id;
+      EXPECT_GE(t, a) << "segment " << id << " played before it arrived";
+      EXPECT_LE(t, now);
+      due += 1.0 / kRate;
+      ++expected;
+    });
+    EXPECT_EQ(pb.cursor(), expected);
+    EXPECT_DOUBLE_EQ(pb.stall_time(), stall);
   }
-  EXPECT_EQ(map_mode.played_count(), flat_mode.played_count());
-  EXPECT_GT(map_mode.stall_time(), 0.0) << "workload should have exercised stalls";
+  EXPECT_EQ(pb.played_count(), static_cast<std::uint64_t>(expected));
+  EXPECT_GT(stall, 0.0) << "workload should have exercised stalls";
 }
 
 // ---------------------------------------------------------------- budgets

@@ -7,7 +7,14 @@
 // refactor) preserves the simulation bit for bit.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <memory>
+#include <ostream>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/fast_switch.hpp"
@@ -41,9 +48,6 @@ struct RunSpec {
   /// The parallel commit + book passes of the sharded core (effective only
   /// when parallel > 0; defaults on, like the engine).
   bool commit = true;
-  /// Million-peer memory plane: flat pending/buffer/arrival containers and
-  /// the sequential plan arena.
-  bool peer_pool = false;
   /// Flash-crowd joiners admitted shortly after the first switch (0 = off).
   std::size_t flash_joins = 0;
   /// CDN-assisted fast switch (changes dynamics by design when on; off must
@@ -92,7 +96,6 @@ RunOutput run_setup(const RunSpec& setup) {
   config.windowed_availability = setup.windowed;
   config.parallel_delivery = setup.delivery_wave;
   config.parallel_commit = setup.commit;
-  config.peer_pool = setup.peer_pool;
   config.flash_crowd_joins = setup.flash_joins;
   config.cdn_assist = setup.cdn;
   config.timing_wheel = setup.wheel;
@@ -532,6 +535,15 @@ TEST(ParallelShards, ShardedChurnRunsReproduceThemselves) {
   expect_identical(run_setup(setup), run_setup(setup));
 }
 
+TEST(ParallelShards, WindowedChurnRunsReproduceThemselves) {
+  RunSpec setup;
+  setup.seed = 61;
+  setup.churn = true;
+  setup.windowed = true;
+  setup.parallel = 4;
+  expect_identical(run_setup(setup), run_setup(setup));
+}
+
 TEST(ParallelShards, ShardDiagnosticsReportWork) {
   RunSpec setup;
   setup.tick_shard = 64;
@@ -732,119 +744,131 @@ TEST(WindowedAvailability, WindowedChurnRunsReproduceThemselves) {
 }
 
 // ---------------------------------------------------------------------------
-// The million-peer memory plane must be *observably invisible* exactly like
-// every mechanism before it: the same seed with peer_pool on and off — flat
-// open-addressed pending maps instead of unordered_map nodes, ring-backed
-// stream buffers instead of deque+map, the bounded arrival ring instead of
-// std::map, and the per-tick plan arena on the sequential path — has to
-// reproduce every metric bit for bit, across algorithms, churn, capacity
-// models, multi-switch timelines, availability modes, dispatch modes and
-// every shard count.  Only bytes/peer and allocation traffic may change.
+// Golden pins: fixed-seed digests of every field expect_identical compares,
+// plus segments_delivered and events_popped, for eight scenarios at shards 0
+// and 4.  The values were recorded with both the node-based and the flat
+// container layouts, which agreed bit for bit.  A mismatch means the run's
+// dynamics changed; run expect_identical against a build of the pinned
+// revision to find the field.  The digests hash raw double bit patterns, so
+// they hold for x86-64 builds, where no floating-point contraction applies.
 
-RunOutput run_pooled(RunSpec setup) {
-  setup.peer_pool = true;
-  return run_setup(setup);
+// FNV-1a over the exact bit patterns of every field expect_identical
+// compares, so one 64-bit value stands for the whole run.
+class RunDigest {
+ public:
+  template <typename... T>
+  void add(T... values) {
+    (mix(values), ...);
+  }
+  void add_all(const std::vector<double>& values) {
+    mix(values.size());
+    for (const double v : values) mix(v);
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
+
+ private:
+  template <typename T>
+  void mix(T value) {
+    std::uint64_t bits = 0;
+    if constexpr (std::is_floating_point_v<T>) {
+      bits = std::bit_cast<std::uint64_t>(static_cast<double>(value));
+    } else {
+      bits = static_cast<std::uint64_t>(value);
+    }
+    for (int i = 0; i < 8; ++i) {
+      hash_ = (hash_ ^ ((bits >> (8 * i)) & 0xffu)) * 0x100000001b3ULL;
+    }
+  }
+
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t digest_of(const RunOutput& out) {
+  RunDigest d;
+  d.add(out.metrics.size());
+  for (const SwitchMetrics& m : out.metrics) {
+    d.add(m.switch_index, m.switch_time, m.tracked, m.finished_s1, m.prepared_s2,
+          m.censored_finish, m.censored_prepare);
+    d.add_all(m.finish_times);
+    d.add_all(m.prepared_times);
+    d.add_all(m.s2_start_times);
+    d.add(m.overhead_ratio, m.control_ratio, m.data_segments, m.track.size());
+    for (const TrackPoint& t : m.track) {
+      d.add(t.time, t.undelivered_ratio_s1, t.delivered_ratio_s2, t.live_tracked);
+    }
+  }
+  const EngineStats& s = out.stats;
+  d.add(s.segments_generated, s.segments_delivered, s.segments_pushed, s.requests_issued,
+        s.requests_rejected, s.duplicates, s.joins, s.leaves, s.old_stream_requests,
+        s.new_stream_requests, s.cdn_segments_served, s.cdn_bytes_served,
+        s.cdn_requests_rejected, s.cdn_assisted_switches, s.cdn_handoffs, s.cdn_pauses,
+        s.cdn_resumes, s.cdn_mean_assist_s);
+  return d.value();
 }
 
-TEST(PeerPool, FastSwitchMatchesLegacyContainers) {
-  RunSpec setup;
-  expect_identical(run_setup(setup), run_pooled(setup));
-}
+/// The shard counts every pin runs at.  The digest and delivered count
+/// must not depend on them; events_popped may (see parallel_delivery).
+constexpr std::size_t kGoldenShards[] = {0, 4};
 
-TEST(PeerPool, NormalSwitchMatchesLegacyContainers) {
+struct GoldenPin {
+  const char* scenario;
   RunSpec setup;
-  setup.fast = false;
-  expect_identical(run_setup(setup), run_pooled(setup));
-}
+  std::uint64_t digest;
+  std::uint64_t segments_delivered;
+  std::uint64_t events_popped[std::size(kGoldenShards)];
+};
 
-TEST(PeerPool, ChurnMatchesLegacyContainers) {
-  // Churn exercises joiner pool growth (bind after emplace), leaver pending
-  // erasure through the flat map and buffer teardown through the ring.
-  RunSpec setup;
-  setup.seed = 19;
-  setup.churn = true;
-  expect_identical(run_setup(setup), run_pooled(setup));
-}
+const GoldenPin kGoldenPins[] = {
+    {"fast", {}, 0x650601bfa41e83dfULL, 9288, {10270, 9569}},
+    {"normal", {.fast = false}, 0x90242728c7b823c9ULL, 8889, {9831, 9138}},
+    {"churn", {.seed = 19, .churn = true}, 0x4d501b9203d60687ULL, 9085, {10057, 9617}},
+    {"token_bucket", {.seed = 29, .token_bucket = true}, 0xb70b8a5ba51bd924ULL, 8074,
+     {9008, 8335}},
+    {"multi_switch", {.seed = 23, .sources = {0, 1, 2}, .switch_times = {0.0, 60.0}},
+     0x881a2f913a48d0faULL, 37108, {41518, 38255}},
+    {"lockstep_churn", {.seed = 37, .churn = true, .stagger = false}, 0x516d4f3e0e8d561bULL,
+     8368, {9269, 8802}},
+    {"flash_crowd", {.seed = 67, .flash_joins = 40}, 0xdaa57ecd2010aedcULL, 14917,
+     {16395, 15737}},
+    {"cdn", {.seed = 101, .cdn = true}, 0x6125ef943eeafb6cULL, 9019, {9960, 9268}},
+};
 
-TEST(PeerPool, TokenBucketCapacityMatchesLegacyContainers) {
-  RunSpec setup;
-  setup.seed = 29;
-  setup.token_bucket = true;
-  expect_identical(run_setup(setup), run_pooled(setup));
-}
+void PrintTo(const GoldenPin& pin, std::ostream* os) { *os << pin.scenario; }
 
-TEST(PeerPool, MultiSwitchMatchesLegacyContainers) {
-  RunSpec setup;
-  setup.seed = 23;
-  setup.sources = {0, 1, 2};
-  setup.switch_times = {0.0, 60.0};
-  expect_identical(run_setup(setup), run_pooled(setup));
-}
+class Golden : public ::testing::TestWithParam<GoldenPin> {};
 
-TEST(PeerPool, EveryShardCountMatchesLegacySequential) {
-  // The arena only engages at shards=0; the sharded counts prove the flat
-  // containers stay invisible when the plan wave runs without it.
-  RunSpec setup;
-  const RunOutput legacy = run_setup(setup);
-  for (const std::size_t shards : {0u, 1u, 4u, 7u}) {
-    RunSpec pooled = setup;
-    pooled.parallel = shards;
-    expect_identical(legacy, run_pooled(pooled));
+TEST_P(Golden, RunMatchesPinnedDigestAtEveryShardCount) {
+  const GoldenPin& pin = GetParam();
+  for (std::size_t i = 0; i < std::size(kGoldenShards); ++i) {
+    SCOPED_TRACE(testing::Message() << "shards " << kGoldenShards[i]);
+    RunSpec setup = pin.setup;
+    setup.parallel = kGoldenShards[i];
+    const RunOutput out = run_setup(setup);
+    EXPECT_EQ(out.stats.segments_delivered, pin.segments_delivered);
+    EXPECT_EQ(out.stats.events_popped, pin.events_popped[i]);
+    EXPECT_EQ(digest_of(out), pin.digest) << std::hex << "digest 0x" << digest_of(out);
   }
 }
 
-TEST(PeerPool, BatchIncrementalWindowedComposes) {
-  // The full mechanism stack with the memory plane on top: batched
-  // dispatch, delta-maintained windowed views, flat containers and the
-  // plan arena at once.
-  RunSpec setup;
-  setup.seed = 43;
-  RunSpec stacked = setup;
-  stacked.batch = true;
-  stacked.windowed = true;
-  expect_identical(run_setup(setup), run_pooled(stacked));
-}
-
-TEST(PeerPool, LockstepChurnMatchesLegacyContainers) {
-  RunSpec setup;
-  setup.seed = 37;
-  setup.stagger = false;
-  setup.churn = true;
-  expect_identical(run_setup(setup), run_pooled(setup));
-}
-
-TEST(PeerPool, PooledChurnRunsReproduceThemselves) {
-  RunSpec setup;
-  setup.seed = 61;
-  setup.peer_pool = true;
-  setup.churn = true;
-  setup.windowed = true;
-  setup.parallel = 4;
-  expect_identical(run_setup(setup), run_setup(setup));
-}
+INSTANTIATE_TEST_SUITE_P(Pins, Golden, ::testing::ValuesIn(kGoldenPins),
+                         [](const ::testing::TestParamInfo<GoldenPin>& info) {
+                           return std::string(info.param.scenario);
+                         });
 
 // The flash-crowd scenario rides the regular join path, so it must be a
-// pure workload knob: deterministic for a fixed seed, identical with the
-// memory plane on and off, and it must admit exactly the configured crowd.
+// pure workload knob: deterministic for a fixed seed, and it must admit
+// exactly the configured crowd.
 
-TEST(PeerPool, FlashCrowdMatchesAcrossMemoryPlanes) {
-  RunSpec setup;
-  setup.seed = 67;
-  setup.flash_joins = 40;
-  expect_identical(run_setup(setup), run_pooled(setup));
-}
-
-TEST(PeerPool, FlashCrowdRunsReproduceThemselves) {
+TEST(FlashCrowd, RunsReproduceThemselves) {
   RunSpec setup;
   setup.seed = 71;
   setup.flash_joins = 40;
-  setup.peer_pool = true;
   setup.batch = true;
   setup.windowed = true;
   expect_identical(run_setup(setup), run_setup(setup));
 }
 
-TEST(PeerPool, FlashCrowdAdmitsTheConfiguredCrowd) {
+TEST(FlashCrowd, AdmitsTheConfiguredCrowd) {
   RunSpec setup;
   setup.seed = 73;
   setup.flash_joins = 40;
@@ -853,24 +877,20 @@ TEST(PeerPool, FlashCrowdAdmitsTheConfiguredCrowd) {
   EXPECT_GE(out.stats.joins, 40u) << "flash joiners are a subset of joins";
 }
 
-TEST(PeerPool, ReportsMemoryTelemetry) {
+TEST(MemoryTelemetry, ReportsPositiveFootprint) {
   RunSpec setup;
   setup.seed = 79;
-  const RunOutput legacy = run_setup(setup);
-  const RunOutput pooled = run_pooled(setup);
-  EXPECT_GT(legacy.stats.peer_state_bytes, 0u);
-  EXPECT_GT(pooled.stats.peer_state_bytes, 0u);
-  EXPECT_GT(legacy.stats.bytes_per_peer, 0.0);
-  EXPECT_LT(pooled.stats.bytes_per_peer, legacy.stats.bytes_per_peer)
-      << "the flat containers should shrink the per-peer footprint";
+  const RunOutput out = run_setup(setup);
+  EXPECT_GT(out.stats.peer_state_bytes, 0u);
+  EXPECT_GT(out.stats.bytes_per_peer, 0.0);
+  EXPECT_TRUE(std::isfinite(out.stats.bytes_per_peer));
 }
 
 // ---------------------------------------------------------------------------
 // CDN-assisted fast switch.  Unlike the mechanism flags above, the assist
 // changes dynamics *by design*; what must hold is (a) fixed-seed runs with
 // the assist on reproduce themselves bit for bit, (b) the assist composes
-// with every mechanism flag — identical metrics at every shard count and
-// across the memory planes — and (c) with the assist off nothing changes
+// with every mechanism flag — identical metrics at every shard count — and (c) with the assist off nothing changes
 // (covered implicitly by every other suite here: those runs never construct
 // the plane).
 
@@ -904,15 +924,6 @@ TEST(CdnAssist, AssistedMetricsIdenticalAtEveryShardCount) {
     sharded.parallel = shards;
     expect_identical(sequential, run_setup(sharded));
   }
-}
-
-TEST(CdnAssist, AssistComposesWithMemoryPlane) {
-  RunSpec setup;
-  setup.seed = 101;
-  setup.cdn = true;
-  RunSpec pooled = setup;
-  pooled.peer_pool = true;
-  expect_identical(run_setup(setup), run_setup(pooled));
 }
 
 TEST(CdnAssist, AssistComposesWithBatchedIncrementalWindowed) {
@@ -1028,15 +1039,6 @@ TEST(ParallelCommit, BatchIncrementalWindowedComposes) {
   stacked.windowed = true;
   expect_identical(run_setup(setup), run_commit(stacked, 4));
   expect_identical(run_setup(setup), run_commit(stacked, 7));
-}
-
-TEST(ParallelCommit, PeerPoolComposes) {
-  RunSpec setup;
-  setup.seed = 47;
-  RunSpec pooled = setup;
-  pooled.peer_pool = true;
-  expect_identical(run_setup(setup), run_commit(pooled, 4));
-  expect_identical(run_setup(setup), run_commit(pooled, 4, /*commit=*/false));
 }
 
 TEST(ParallelCommit, CdnAssistComposes) {
@@ -1214,25 +1216,23 @@ TEST(TimingWheel, CdnAssistMatchesHeapBackend) {
   expect_identical(run_wheel(setup, false), run_wheel(setup, true));
 }
 
-TEST(TimingWheel, FlashCrowdPeerPoolMatchesHeapBackend) {
+TEST(TimingWheel, FlashCrowdMatchesHeapBackend) {
   RunSpec setup;
   setup.seed = 76;
   setup.parallel = 4;
-  setup.peer_pool = true;
   setup.flash_joins = 30;
   expect_identical(run_wheel(setup, false), run_wheel(setup, true));
 }
 
 TEST(TimingWheel, FullCompositionMatchesHeapBackend) {
   // The kitchen sink: churn + incremental availability + windowed views +
-  // peer pool + token-bucket capacity on 7 shards.
+  // token-bucket capacity on 7 shards.
   RunSpec setup;
   setup.seed = 77;
   setup.parallel = 7;
   setup.churn = true;
   setup.incremental = true;
   setup.windowed = true;
-  setup.peer_pool = true;
   setup.token_bucket = true;
   expect_identical(run_wheel(setup, false), run_wheel(setup, true));
 }
@@ -1308,31 +1308,29 @@ TEST(PlanGate, CdnAssistMatchesUngated) {
   expect_identical(run_gate(setup, false), run_gate(setup, true));
 }
 
-TEST(PlanGate, FlashCrowdPeerPoolMatchesUngated) {
+TEST(PlanGate, FlashCrowdMatchesUngated) {
   RunSpec setup;
   setup.seed = 86;
   setup.parallel = 4;
-  setup.peer_pool = true;
   setup.flash_joins = 30;
   setup.incremental = true;
   expect_identical(run_gate(setup, false), run_gate(setup, true));
 }
 
 TEST(PlanGate, FullCompositionMatchesUngated) {
-  // The kitchen sink: churn + batched dispatch + windowed views + peer
-  // pool + token-bucket capacity on 7 shards.
+  // The kitchen sink: churn + batched dispatch + windowed views +
+  // token-bucket capacity on 7 shards.
   RunSpec setup;
   setup.seed = 87;
   setup.parallel = 7;
   setup.churn = true;
   setup.batch = true;
   setup.windowed = true;
-  setup.peer_pool = true;
   setup.token_bucket = true;
   expect_identical(run_gate(setup, false), run_gate(setup, true));
 }
 
-TEST(PlanGate, LegacyRescanMatchesUngated) {
+TEST(PlanGate, RescanGateMatchesUngated) {
   // plan_gate_legacy maintains a gate-only index under the legacy rescan
   // scheduler; the scheduler must keep reading its own rescans (candidate
   // lists, boundary discovery) exactly as if no index existed.
@@ -1342,7 +1340,7 @@ TEST(PlanGate, LegacyRescanMatchesUngated) {
   expect_identical(run_gate(setup, false), run_gate(setup, true));
 }
 
-TEST(PlanGate, LegacyChurnShardedMatchesUngated) {
+TEST(PlanGate, RescanGateChurnShardedMatchesUngated) {
   RunSpec setup;
   setup.seed = 89;
   setup.gate_legacy = true;

@@ -3,7 +3,10 @@
 // startup run, pending-request pruning and the next_missing helper.
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "stream/peer_node.hpp"
+#include "util/rng.hpp"
 
 namespace gs::stream {
 namespace {
@@ -65,17 +68,49 @@ TEST(PeerNode, ExtendStartRunFollowsContiguousPrefix) {
 }
 
 TEST(PeerNode, PrunePendingDropsOnlyExpiredEntries) {
-  for (const bool flat : {false, true}) {
-    PeerNode p;
-    p.pending.use_flat(flat);
-    p.pending.set(1, 5.0);  // retry-eligible at t=5
-    p.pending.set(2, 10.0);
-    p.pending.set(3, 7.5);
-    p.prune_pending(7.5);
-    EXPECT_EQ(p.pending.size(), 1u) << "flat=" << flat;
-    EXPECT_TRUE(p.pending.contains(2)) << "flat=" << flat;
-    p.prune_pending(10.0);
-    EXPECT_TRUE(p.pending.empty()) << "flat=" << flat;
+  PeerNode p;
+  p.pending.set(1, 5.0);  // retry-eligible at t=5
+  p.pending.set(2, 10.0);
+  p.pending.set(3, 7.5);
+  p.prune_pending(7.5);
+  EXPECT_EQ(p.pending.size(), 1u);
+  EXPECT_TRUE(p.pending.contains(2));
+  p.prune_pending(10.0);
+  EXPECT_TRUE(p.pending.empty());
+}
+
+TEST(PeerNode, PendingBookMatchesReferenceMapOnRandomWorkload) {
+  // The open-addressed book against a plain std::unordered_map under the
+  // engine's operation mix: sets/overwrites, erases and expiry prunes
+  // (which backward-shift surviving entries).
+  util::Rng rng(97);
+  PeerNode p;
+  std::unordered_map<SegmentId, double> model;
+  double now = 0.0;
+  for (int step = 0; step < 20000; ++step) {
+    const SegmentId id = rng.uniform_int(0, 199);
+    const auto roll = rng.uniform_int(0, 9);
+    if (roll == 0) {
+      now += 0.5;
+      p.prune_pending(now);
+      std::erase_if(model, [now](const auto& entry) { return entry.second <= now; });
+    } else if (roll < 3) {
+      EXPECT_EQ(p.pending.erase(id), model.erase(id) > 0) << "step " << step;
+    } else {
+      // Half-second steps, like `now`, so prunes hit retry_at == now exactly.
+      const double retry_at = now + 0.5 * static_cast<double>(rng.uniform_int(0, 10));
+      p.pending.set(id, retry_at);
+      model[id] = retry_at;
+    }
+    ASSERT_EQ(p.pending.size(), model.size()) << "step " << step;
+  }
+  for (SegmentId id = 0; id < 200; ++id) {
+    const double* got = p.pending.find(id);
+    const auto it = model.find(id);
+    ASSERT_EQ(got != nullptr, it != model.end()) << "id " << id;
+    if (got != nullptr) {
+      EXPECT_EQ(*got, it->second) << "id " << id;
+    }
   }
 }
 
